@@ -392,6 +392,38 @@ for f in "$det_dir1"/*.json; do
 done
 echo "40-exec soak: report and every corpus file byte-identical across -j"
 
+# the -O3 regression gate: a fresh 40-exec soak from generator seed
+# 159001 breeds a candidate whose second -O3 inlining round once
+# duplicated block labels ("merge_blocks: phi arity mismatch" on every
+# -O3 setup but O3+lf@early).  It must report zero findings and zero
+# missed mutants.
+echo "== soak regression gate (40 execs from seed 159001: clean) =="
+reg_dir=$(mktemp -d /tmp/mi-ci-reg-XXXXXX)
+reg_out=$(mktemp /tmp/mi-ci-reg-XXXXXX.json)
+trap 'rm -rf "$out" "$out_j2" "$cache" "$mut_out" "$chaos1" "$chaos2" \
+     "$fuzz1" "$fuzz2" "$prof1" "$prof2" "$flame" \
+     "$serve_sock" "$serve_cache" "$drive1" "$drive2" \
+     "$elim_txt" "$elim1" "$elim2" "$elim_mut" \
+     "$soak_dir" "$soak1" "$soak2" "$replay1" "$replay2" \
+     "$det_dir1" "$det_dir2" "$scaling" "$reg_dir" "$reg_out"' EXIT
+dune exec bin/mifuzz.exe -- --corpus "$reg_dir" --max-execs 40 \
+    --seeds 159001..159001 -j 2 --out "$reg_out" | tail -n 3
+if command -v python3 >/dev/null 2>&1; then
+    python3 - "$reg_out" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+assert doc["findings"] == [], doc["findings"]
+assert doc["mutants"]["missed"] == 0, doc["mutants"]
+assert doc["mutants"]["total"] > 0, "soak ran no mutants"
+print(f"regression soak clean: {doc['corpus']['execs']} execs, "
+      f"{doc['mutants']['total']} mutants")
+EOF
+else
+    grep -q '"findings":\[\]' "$reg_out"
+    grep -q '"missed":0' "$reg_out"
+fi
+echo "seed-159001 soak clean: zero findings, zero missed"
+
 # the fuzz-throughput gate: at the identical 40-exec budget the guided
 # mode must reach at least guided_cells_floor cells and strictly more
 # than blind enumeration (both counts deterministic, BENCH_fuzz.json)

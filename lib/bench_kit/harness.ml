@@ -104,39 +104,76 @@ let counters_alist (r : run) = Array.to_list r.counters
 (* Compile and execute phases                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* The jobs that lower the same units the same way form a compile
+   family ([units_key]).  A family compiles through one stage memo: per
+   unit, the module after each distinct pipeline prefix
+   ({!Pipeline.split}) — lowered, canonicalized, O1 prefix,
+   O3@ScalarOptimizerLate, O3@VectorizerStart — built on demand from a
+   copy of its parent stage and never mutated once stored.  A stage
+   whose construction raises is not stored, so every dependent job (and
+   every retry) recomputes it and fails the way an isolated compile
+   would.  The family's last compile stores nothing and empties the
+   memo, so no stage outlives the compiles that read it: a lone job
+   compiles in place, and the last job of a family executes without the
+   memo's modules alive. *)
+type memo = (int * Pipeline.phase list * Mi_mir.Irmod.t) list ref
+
+let new_memo () : memo = ref []
+
+(* A private module (the caller may mutate it) holding unit [u] after
+   the phases of [prefix]: a copy of the stored stage, or built from its
+   parent's.  With [keep], every stage built on the way is stored. *)
+let rec stage (memo : memo) ~keep ~tracer u (s : Bench.source) mode prefix =
+  let same (u', p, _) = u' = u && List.equal ( == ) p prefix in
+  match List.find_opt same !memo with
+  | Some (_, _, m) -> Mi_mir.Irmod.copy m
+  | None ->
+      let m =
+        match List.rev prefix with
+        | [] ->
+            Mi_obs.Trace.with_span tracer ~cat:"harness" ("lower:" ^ s.src_name)
+              (fun () -> Mi_minic.Lower.compile ~mode ~name:s.src_name s.code)
+        | phase :: rev_parent ->
+            let m = stage memo ~keep ~tracer u s mode (List.rev rev_parent) in
+            Pipeline.run_phase ~tracer phase m;
+            m
+      in
+      if keep then begin
+        memo := (u, prefix, m) :: !memo;
+        Mi_mir.Irmod.copy m
+      end
+      else m
+
 (* Lower + instrument + optimize every translation unit.  Returns the
    modules (with their instrumented flags) and per-unit static stats.
-   All sites registered during this phase land in [obs.sites]. *)
-let compile ?(faults = Fault.none) ~obs (setup : setup)
-    (sources : Bench.source list) :
+   Shared stages come from [memo] (a fresh one by default: a family of
+   one); their spans land in the obs of the job that built them.  The
+   instrumenter and the phases after the extension point always run, on
+   a private module, and all sites they register land in [obs.sites]. *)
+let compile ?(faults = Fault.none) ?(memo = new_memo ()) ?(last = true) ~obs
+    (setup : setup) (sources : Bench.source list) :
     (Mi_mir.Irmod.t * bool) list * Mi_core.Instrument.mod_stats list =
   let tracer = obs.Obs.trace in
+  let before, after = Pipeline.split setup.level setup.ep in
   let stats = ref [] in
   let modules =
     Mi_obs.Trace.with_span tracer ~cat:"harness" "compile" (fun () ->
-        List.map
-          (fun (s : Bench.source) ->
+        List.mapi
+          (fun u (s : Bench.source) ->
             let mode = Option.value ~default:setup.lowering s.mode_override in
-            let m =
-              Mi_obs.Trace.with_span tracer ~cat:"harness"
-                ("lower:" ^ s.src_name)
-                (fun () ->
-                  Mi_minic.Lower.compile ~mode ~name:s.src_name s.code)
-            in
-            let instrument =
-              match setup.config with
-              | Some cfg when s.instrument ->
-                  Some
-                    (fun m ->
-                      let st = Mi_core.Instrument.run ~obs ~faults cfg m in
-                      stats := st :: !stats)
-              | _ -> None
-            in
-            Pipeline.run ~level:setup.level ?instrument ~ep:setup.ep ~tracer
-              m;
+            let m = stage memo ~keep:(not last) ~tracer u s mode before in
+            (match setup.config with
+            | Some cfg when s.instrument ->
+                Pipeline.run_instrument ~tracer setup.ep
+                  (fun m ->
+                    stats := Mi_core.Instrument.run ~obs ~faults cfg m :: !stats)
+                  m
+            | _ -> ());
+            List.iter (fun p -> Pipeline.run_phase ~tracer p m) after;
             (m, s.instrument))
           sources)
   in
+  if last then memo := [];
   (modules, List.rev !stats)
 
 (* Load the compiled modules into a fresh VM with the configured runtime
@@ -399,15 +436,10 @@ let failures_to_json t : Mi_obs.Json.t =
            ])
        (failures t))
 
-(* Everything the compile phase depends on, as cache-key content; the
-   seed only affects execution and is deliberately left out. *)
-let compile_key (setup : setup) (sources : Bench.source list) =
+(* The units of a compile, as key content: what a compile family
+   shares. *)
+let units_key (setup : setup) (sources : Bench.source list) =
   let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (match setup.config with None -> "base" | Some c -> Config.to_string c);
-  Buffer.add_string b
-    (Printf.sprintf "\n%s/%s\n" (level_name setup.level)
-       (Pipeline.ep_name setup.ep));
   List.iter
     (fun (s : Bench.source) ->
       let mode = Option.value ~default:setup.lowering s.mode_override in
@@ -419,11 +451,22 @@ let compile_key (setup : setup) (sources : Bench.source list) =
     sources;
   Buffer.contents b
 
+(* Everything the compile phase depends on, as cache-key content; the
+   seed only affects execution and is deliberately left out. *)
+let compile_key (setup : setup) (sources : Bench.source list) =
+  Printf.sprintf "%s\n%s/%s\n%s"
+    (match setup.config with None -> "base" | Some c -> Config.to_string c)
+    (level_name setup.level)
+    (Pipeline.ep_name setup.ep)
+    (units_key setup sources)
+
 (* One cache-aware run on a private (freshly created) obs context.  The
    context MUST be empty: a cache hit replays the cached site registry
    from id 0, which is what the site ids embedded in the cached modules
-   refer to. *)
-let run_cached ?deadline t ~obs (setup : setup) (b : Bench.t) : run =
+   refer to.  A miss compiles through its family's [memo]; [last] marks
+   the family's last job. *)
+let run_cached ?deadline t ~memo ~last ~obs (setup : setup) (b : Bench.t) :
+    run =
   let key =
     (* a mutated compile must never alias the unmutated entry *)
     match Fault.compile_sig t.s_faults with
@@ -439,7 +482,7 @@ let run_cached ?deadline t ~obs (setup : setup) (b : Bench.t) : run =
         (e.Icache.e_modules, e.Icache.e_stats)
     | None ->
         let modules, stats =
-          compile ~faults:t.s_faults ~obs setup b.sources
+          compile ~faults:t.s_faults ~memo ~last ~obs setup b.sources
         in
         Icache.add t.s_cache key
           {
@@ -455,18 +498,12 @@ let run_cached ?deadline t ~obs (setup : setup) (b : Bench.t) : run =
       execute ~faults:t.s_faults ?deadline ~obs setup modules
         ~static_stats:stats)
 
-(** Shard [jobs] across the session's worker domains.  Duplicate jobs
-    (same {!setup_key} and benchmark) are executed once and share their
-    run.  Results are returned in input order; every worker used a
-    private obs context, and the contexts are merged into the session's
-    in (deduplicated) job order — never in completion order — so the
-    returned runs and the session context are byte-identical no matter
-    how many domains ran, or how the scheduler interleaved them. *)
 (* One attempt of one job, on a fresh obs context.  Injected job faults
    fire first: a crash raises before any work, a hang busy-waits (still
    honouring the wall-clock deadline) and then runs the job normally.
    [wid] is the worker index, used only for trace thread labels. *)
-let attempt_job t ~job_desc ~wid (setup : setup) (b : Bench.t) : Obs.t * run =
+let attempt_job t ~memo ~last ~job_desc ~wid (setup : setup) (b : Bench.t) :
+    Obs.t * run =
   let deadline =
     Option.map
       (fun budget -> (Mi_support.Mclock.deadline budget, budget))
@@ -488,7 +525,7 @@ let attempt_job t ~job_desc ~wid (setup : setup) (b : Bench.t) : Obs.t * run =
   let obs = Obs.create ~coverage:(Option.is_some t.s_obs.Obs.coverage) () in
   Mi_obs.Trace.set_thread obs.Obs.trace ~tid:(wid + 1)
     ~name:(if wid = 0 then "main" else Printf.sprintf "worker-%d" wid);
-  (obs, run_cached ?deadline t ~obs setup b)
+  (obs, run_cached ?deadline t ~memo ~last ~obs setup b)
 
 (* Classify an exception that escaped a job attempt.  Reasons must be
    deterministic (no measured times, no addresses): they feed the
@@ -520,6 +557,17 @@ let classify_failure ~setup_key:sk ~bench ~retries = function
         jf_retries = retries;
       }
 
+(** Shard [jobs] across the session's worker domains.  Duplicate jobs
+    (same {!setup_key} and benchmark) are executed once and share their
+    run.  Distinct jobs are grouped into compile families (same units,
+    same lowering): a family is scheduled as a unit on one worker, runs
+    its jobs in job order and compiles them through one stage memo.
+    Results are returned in input order; every job used a private obs
+    context, and the contexts are merged into the session's in
+    (deduplicated) job order — never in completion order — so the
+    returned runs, the session context and the cache statistics are
+    byte-identical no matter how many domains ran, or how the scheduler
+    interleaved them. *)
 let run_jobs t (jobs : (setup * Bench.t) list) :
     (run, error) result list =
   let job_key (s, (b : Bench.t)) = (setup_key s, b.name) in
@@ -538,6 +586,22 @@ let run_jobs t (jobs : (setup * Bench.t) list) :
     jobs;
   let arr = Array.of_list (List.rev !distinct) in
   let n = Array.length arr in
+  (* compile families, in first-occurrence order; each lists its jobs
+     in job order *)
+  let families =
+    let tbl = Hashtbl.create 16 and order = ref [] in
+    Array.iteri
+      (fun i (s, (b : Bench.t)) ->
+        let k = units_key s b.sources in
+        match Hashtbl.find_opt tbl k with
+        | Some l -> l := i :: !l
+        | None ->
+            let l = ref [ i ] in
+            Hashtbl.add tbl k l;
+            order := l :: !order)
+      arr;
+    Array.of_list (List.rev_map (fun l -> List.rev !l) !order)
+  in
   let unscheduled =
     {
       jf_setup = "";
@@ -553,44 +617,51 @@ let run_jobs t (jobs : (setup * Bench.t) list) :
      and break -j determinism, so it is discarded with the attempt *)
   let obss : Obs.t option array = Array.make n None in
   let retried = Array.make n 0 in
-  let next = Atomic.make 0 in
-  let worker wid =
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        let setup, b = arr.(i) in
-        let sk = setup_key setup in
-        let job_desc = sk ^ "/" ^ b.Bench.name in
-        (* bounded retry with exponential backoff; the try captures
-           EVERYTHING, so no exception ever escapes the worker and the
-           pool can neither orphan queued jobs nor hang Domain.join *)
-        let rec attempt k =
-          match attempt_job t ~job_desc ~wid setup b with
-          | obs, r ->
-              obss.(i) <- Some obs;
-              retried.(i) <- k;
-              out.(i) <- Ok r
-          | exception e ->
-              if k < t.s_retries then begin
-                (* capped exponential backoff (see [backoff_ms]); the
-                   slept total is accounted in harness.backoff_ms when
-                   the job folds into the session *)
-                Unix.sleepf (Float.of_int (backoff_ms t k) /. 1000.);
-                attempt (k + 1)
-              end
-              else
-                out.(i) <-
-                  Error
-                    (classify_failure ~setup_key:sk ~bench:b.Bench.name
-                       ~retries:k e)
-        in
-        attempt 0;
-        loop ()
-      end
+  let run_job ~memo ~last ~wid i =
+    let setup, b = arr.(i) in
+    let sk = setup_key setup in
+    let job_desc = sk ^ "/" ^ b.Bench.name in
+    (* bounded retry with exponential backoff; the try captures
+       EVERYTHING, so no exception ever escapes the worker and the pool
+       can neither orphan queued jobs nor hang Domain.join *)
+    let rec attempt k =
+      match attempt_job t ~memo ~last ~job_desc ~wid setup b with
+      | obs, r ->
+          obss.(i) <- Some obs;
+          retried.(i) <- k;
+          out.(i) <- Ok r
+      | exception e ->
+          if k < t.s_retries then begin
+            (* capped exponential backoff (see [backoff_ms]); the slept
+               total is accounted in harness.backoff_ms when the job
+               folds into the session *)
+            Unix.sleepf (Float.of_int (backoff_ms t k) /. 1000.);
+            attempt (k + 1)
+          end
+          else
+            out.(i) <-
+              Error
+                (classify_failure ~setup_key:sk ~bench:b.Bench.name ~retries:k
+                   e)
     in
-    loop ()
+    attempt 0
   in
-  let workers = min t.s_jobs (max 1 n) in
+  let next = Atomic.make 0 in
+  let rec worker wid =
+    let f = Atomic.fetch_and_add next 1 in
+    if f < Array.length families then begin
+      let memo = new_memo () in
+      let rec go = function
+        | [] -> ()
+        | i :: rest ->
+            run_job ~memo ~last:(rest = []) ~wid i;
+            go rest
+      in
+      go families.(f);
+      worker wid
+    end
+  in
+  let workers = min t.s_jobs (max 1 (Array.length families)) in
   if workers <= 1 then worker 0
   else begin
     let domains =

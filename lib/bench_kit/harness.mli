@@ -202,6 +202,11 @@ val run_jobs : t -> (setup * Bench.t) list -> (run, error) result list
     private context, contexts merge in job order (never completion
     order), and the VM itself is deterministic.
 
+    Compile families: jobs whose translation units and lowering agree
+    run as a unit on one worker, in job order, through one {!memo} —
+    each distinct pipeline prefix is built once per family, and the
+    cache is consulted per job exactly as for a lone job.
+
     Containment guarantee: no exception escapes a worker — a crashing,
     hanging or injected-fault job is captured as a typed
     {!job_failure} (surfaced here as an [Error] and recorded in
@@ -211,6 +216,32 @@ val run_jobs : t -> (setup * Bench.t) list -> (run, error) result list
     the [-j] determinism. *)
 
 (** {1 Classic per-call entry points} *)
+
+type memo
+(** The stage memo of a compile family: per translation unit, the module
+    after each distinct pipeline prefix ({!Mi_passes.Pipeline.split}),
+    built from a copy of its parent stage on first use and never
+    mutated afterwards.  A stage that raises is not stored. *)
+
+val new_memo : unit -> memo
+
+val compile :
+  ?faults:Mi_faultkit.Fault.t ->
+  ?memo:memo ->
+  ?last:bool ->
+  obs:Mi_obs.Obs.t ->
+  setup ->
+  Bench.source list ->
+  (Mi_mir.Irmod.t * bool) list * Mi_core.Instrument.mod_stats list
+(** Lower, optimize and instrument every unit under [setup]: the
+    compile phase of a run, without a cache.  Stages come from [memo]
+    (default: a fresh one) and their trace spans go to [obs] when this
+    call builds them; the instrumenter and the phases after the
+    extension point run on a private module.  [last] (default [true])
+    marks the memo's last compile: it stores nothing, builds in place
+    what it does not find, and empties [memo].  Returns each unit's
+    module with its instrumented flag, and the static stats of the
+    instrumented units. *)
 
 val run_sources :
   ?obs:Mi_obs.Obs.t ->

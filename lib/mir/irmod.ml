@@ -55,6 +55,14 @@ let mk_global ?(align = 8) ?(extern = false) ?(size_known = true) ~name
     gsize_known = size_known;
   }
 
+(* Blocks, instructions and globals are immutable values, so a copy
+   shares them: only the records a pass mutates are fresh. *)
+let copy m =
+  {
+    m with
+    funcs = List.map (fun (f : Func.t) -> { f with blocks = f.blocks }) m.funcs;
+  }
+
 let find_func m name =
   List.find_opt (fun (f : Func.t) -> String.equal f.fname name) m.funcs
 

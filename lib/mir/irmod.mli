@@ -41,6 +41,11 @@ val mk_global :
   global
 (** Checks that the initializer fields sum to the declared size. *)
 
+val copy : t -> t
+(** A fresh module with fresh {!Func.t} records: mutating the copy (as
+    every pass and the instrumenter do) leaves [m] unchanged.  Blocks and
+    instructions are immutable and shared, so a copy costs O(#funcs). *)
+
 val find_func : t -> string -> Func.t option
 val find_func_exn : t -> string -> Func.t
 val find_global : t -> string -> global option

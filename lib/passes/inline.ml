@@ -264,7 +264,20 @@ let run (m : Irmod.t) : bool =
             match !site with
             | None -> continue_ := false
             | Some (block, pos, callee) ->
+                (* an earlier run of this pass (the scalar pipeline
+                   iterates) numbered from 1 too: skip every uid whose
+                   labels the caller already has, or the splice would
+                   duplicate block labels *)
+                let uid_used uid =
+                  let prefix = Printf.sprintf "inl%d_" uid in
+                  List.exists
+                    (fun (b : Block.t) -> String.starts_with ~prefix b.label)
+                    caller.blocks
+                in
                 incr uid;
+                while uid_used !uid do
+                  incr uid
+                done;
                 decr budget;
                 if
                   inline_site caller

@@ -22,13 +22,32 @@ val all_extension_points : extension_point list
     evaluation; [O0] leaves the naive lowering untouched. *)
 type level = O0 | O1 | O3
 
-val canonicalize : Pass.t list
-(** The frontend per-function simplification that runs before any
-    extension point. *)
+(** {1 Stages}
 
-val scalar_opts : Pass.t list
-val late_scalar : Pass.t list
-val late_cleanup : Pass.t list
+    The pipeline at a level is a sequence of phases (named pass groups,
+    one tracing span each) with the three extension points placed
+    between them.  {!run} is exactly [split], then the phases before the
+    extension point, the instrumenter, and the phases after it — which
+    is what lets a caller compiling one module under many setups share
+    every common prefix. *)
+
+type phase
+
+val split : level -> extension_point -> phase list * phase list
+(** The phases before extension point [ep] at [level] and after it.
+    Phases are shared values: two setups reach the same intermediate
+    module iff their prefixes are physically equal element-wise. *)
+
+val run_phase : ?tracer:Mi_obs.Trace.t -> phase -> Irmod.t -> unit
+(** Run one phase in place (under a ["phase"] span with [tracer]). *)
+
+val run_instrument :
+  ?tracer:Mi_obs.Trace.t ->
+  extension_point ->
+  (Irmod.t -> unit) ->
+  Irmod.t ->
+  unit
+(** Run the instrumenter at [ep], marking it with an instant event. *)
 
 val run :
   ?level:level ->
@@ -41,7 +60,8 @@ val run :
     [instrument] at extension point [ep] (default [VectorizerStart]).
     Instrumentation-inserted code is subject to every pass that runs
     after its extension point.  At [O0] the instrumentation runs on the
-    unoptimized module (all extension points coincide).
+    unoptimized module (all extension points coincide).  Built from
+    {!split}, {!run_phase} and {!run_instrument}.
 
     With [tracer], every pipeline phase and every pass within it is
     wrapped in a {!Mi_obs.Trace} span whose arguments record the

@@ -533,6 +533,49 @@ let no_verify_errors what m =
       Alcotest.failf "%s: %s" what
         (String.concat "; " (List.map Mi_mir.Verify.error_to_string es))
 
+(* fuzz seed 159001 (a bred soak candidate): the -O3 scalar phase runs
+   twice, and a callee that only shrank under the inline threshold in
+   the first round is inlined in the second — whose uids restarted at
+   1, colliding with the inl1_* blocks the first round left in the
+   caller.  The duplicate labels surfaced in simplifycfg as
+   "merge_blocks: phi arity mismatch". *)
+let test_inline_second_run_fresh_labels () =
+  let m =
+    parse
+      {|
+module "t"
+func @sq(%x.0 : i64) -> i64 {
+entry:
+  %c.1 = icmp slt i64 %x.0, 0:i64
+  cbr %c.1, neg, pos
+neg:
+  br join
+pos:
+  br join
+join:
+  %s.2 = phi i64 [neg -1:i64] [pos 1:i64]
+  %r.3 = mul i64 %x.0, %s.2
+  ret %r.3
+}
+func @main() -> i64 {
+entry:
+  br inl1_entry
+inl1_entry:
+  %a.0 = add i64 2:i64, 3:i64
+  br inl1_cont
+inl1_cont:
+  %b.1 = call @sq(%a.0) : i64
+  ret %b.1
+}
+|}
+  in
+  ignore (P.Inline.run m);
+  no_verify_errors "after the second inline run" m;
+  Mi_analysis.Domcheck.assert_valid m;
+  Alcotest.(check int) "call inlined" 0 (count_instrs m (has_call "sq"));
+  ignore (P.Simplifycfg.pass.run m);
+  no_verify_errors "after simplifycfg" m
+
 (* fuzz seed 16: inlining a call inside a do-while body splits the block,
    so the backedge into the loop-header phis now originates from the
    continuation block — including when the header is the split block
@@ -786,6 +829,8 @@ let () =
         [
           Alcotest.test_case "inlines small callee" `Quick test_inline_simple;
           Alcotest.test_case "skips recursive" `Quick test_inline_skips_recursive;
+          Alcotest.test_case "second run takes fresh labels (fuzz seed 159001)"
+            `Quick test_inline_second_run_fresh_labels;
         ] );
       ( "simplifycfg",
         [
